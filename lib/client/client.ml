@@ -73,8 +73,8 @@ type t = {
   mutable on_ready : unit -> unit;
   mutable next_ts : int64;
   inflight : (int64, pending) Hashtbl.t;
-  mutable queue : (string * (latency_us:float -> result:string -> unit)) list;
-      (* waiting for a window slot, newest first *)
+  queue : (string * (latency_us:float -> result:string -> unit)) Queue.t;
+      (* waiting for a window slot, oldest first *)
   mutable completed : int;
   lat : Stats.t;
   mutable stopped : bool;
@@ -110,7 +110,7 @@ let create engine net cfg =
       on_ready = (fun () -> ());
       next_ts = 0L;
       inflight = Hashtbl.create 64;
-      queue = [];
+      queue = Queue.create ();
       completed = 0;
       lat = Stats.create ();
       stopped = false;
@@ -260,16 +260,15 @@ let rec pump t =
     t.phase = Ready && (not t.stopped)
     && Hashtbl.length t.inflight < t.cfg.window
   then begin
-    match List.rev t.queue with
-    | [] -> ()
-    | (op, on_result) :: rest ->
-      t.queue <- List.rev rest;
+    match Queue.take_opt t.queue with
+    | None -> ()
+    | Some (op, on_result) ->
       dispatch t ~op ~on_result;
       pump t
   end
 
 let submit t ~op ~on_result =
-  t.queue <- (op, on_result) :: t.queue;
+  Queue.push (op, on_result) t.queue;
   pump t
 
 (* ----- reply handling ----- *)

@@ -2,6 +2,7 @@ module Ids = Splitbft_types.Ids
 module Message = Splitbft_types.Message
 module Validation = Splitbft_types.Validation
 module Enclave = Splitbft_tee.Enclave
+module Rollback = Splitbft_tee.Rollback
 module Log = Splitbft_consensus.Log
 module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
@@ -182,67 +183,37 @@ let gc st stable =
 
 (* ----- rollback-protected sealed checkpoints (view + stable mark) ----- *)
 
-let encode_recovery_image ~counter st =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w st.view;
-      W.varint w (Ckpt.last_stable st.ckpt))
-    ()
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let last_stable = R.varint r in
-      (counter, view, last_stable))
-    s
+let decode_recovery_image r =
+  let view = R.varint r in
+  let last_stable = R.varint r in
+  (view, last_stable)
 
 let seal_checkpoint_state env st =
   let counter = Enclave.counter_increment env "ckpt" in
-  let sealed = Enclave.seal env (encode_recovery_image ~counter st) in
+  let image =
+    Rollback.image ~counter (fun w ->
+        W.varint w st.view;
+        W.varint w (Ckpt.last_stable st.ckpt))
+  in
+  let sealed = Enclave.seal env image in
   Enclave.ocall env
     (Wire.encode_output (Wire.Out_persist { tag = "ckpt:confirmation"; data = sealed }))
 
 let on_recover env st blob_opt =
-  let refuse reason =
+  let counter = Enclave.counter_read env "ckpt" in
+  match
+    Rollback.recover Async ~who:"confirmation" ~counter ~unseal:(Enclave.unseal env)
+      ~decode:decode_recovery_image blob_opt
+  with
+  | Error reason ->
     st.halted <- true;
     Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
-  in
-  (* One-slot tolerance: the counter bumps inside the seal but the blob is
-     persisted asynchronously by the untrusted host, so a crash can
-     legitimately lose the newest seal (see Execution.on_recover). *)
-  let counter = Enclave.counter_read env "ckpt" in
-  match blob_opt with
-  | None ->
-    if Int64.compare counter 1L > 0 then
-      refuse
-        (Printf.sprintf
-           "confirmation: rollback detected — counter at %Ld but no sealed checkpoint offered"
-           counter)
-  | Some sealed -> (
-    match Enclave.unseal env sealed with
-    | Error e -> refuse ("confirmation: sealed checkpoint rejected: " ^ e)
-    | Ok blob -> (
-      match decode_recovery_image blob with
-      | Error e -> refuse ("confirmation: sealed checkpoint malformed: " ^ e)
-      | Ok (sealed_counter, view, last_stable) ->
-        if
-          Int64.compare sealed_counter counter <> 0
-          && Int64.compare sealed_counter (Int64.pred counter) <> 0
-        then
-          refuse
-            (Printf.sprintf
-               "confirmation: rollback detected — sealed checkpoint bound to counter %Ld, \
-                platform counter is %Ld"
-               sealed_counter counter)
-        else begin
-          st.view <- view;
-          Ckpt.force_stable st.ckpt last_stable;
-          Log.advance_low_mark st.proposals last_stable;
-          Log.advance_low_mark st.prepared last_stable
-        end))
+  | Ok None -> ()
+  | Ok (Some (view, last_stable)) ->
+    st.view <- view;
+    Ckpt.force_stable st.ckpt last_stable;
+    Log.advance_low_mark st.proposals last_stable;
+    Log.advance_low_mark st.prepared last_stable
 
 (* Broadcast our own ViewChange targeting [new_view] and stop working in
    the old view.  A [Conf_stale_proof] adversary replays its initial

@@ -7,6 +7,7 @@ module Addr = Splitbft_types.Addr
 module Enclave_identity = Splitbft_types.Enclave_identity
 module Enclave = Splitbft_tee.Enclave
 module Measurement = Splitbft_tee.Measurement
+module Rollback = Splitbft_tee.Rollback
 module Box = Splitbft_crypto.Box
 module Hmac = Splitbft_crypto.Hmac
 module Kdf = Splitbft_crypto.Kdf
@@ -19,6 +20,7 @@ module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Sessions = Splitbft_consensus.Sessions
+module Catchup = Splitbft_consensus.Catchup
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 module Ledger = Splitbft_storage.Ledger
@@ -58,8 +60,7 @@ type state = {
   fetching : (string, unit) Hashtbl.t;  (* batch digests requested from peers *)
   mutable executed_total : int;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshots at checkpoint seqs *)
-  sync_votes : (Ids.seqno, string * Message.request list) Votes.t;
-  mutable sync_replies : (Ids.replica_id * Ids.seqno * Ids.view) list;
+  catchup : Ids.seqno Catchup.t;
   quote_offered : (Ids.client_id, unit) Hashtbl.t;
   mutable instance_nonce : string;
   mutable recovering : bool;
@@ -91,8 +92,7 @@ let create_state (cfg : Config.t) ~app =
     fetching = Hashtbl.create 8;
     executed_total = 0;
     snapshots = Hashtbl.create 4;
-    sync_votes = Votes.create ~size:32 ();
-    sync_replies = [];
+    catchup = Catchup.create ~f:(Config.f cfg) ~compare:Int.compare;
     quote_offered = Hashtbl.create 8;
     instance_nonce = "";
     recovering = false;
@@ -107,13 +107,11 @@ let in_window st seq = Log.in_window st.decided seq
 (* ----- rollback-protected sealed checkpoints (§4–5) -----
 
    Every checkpoint, the compartment seals its recoverable state and binds
-   the blob to a fresh value of a named monotonic counter.  A recovering
-   incarnation accepts only the blob matching the current counter value: a
-   host replaying an older blob (or wiping the counter) is detected and
-   recovery aborts loudly instead of silently rejoining with stale state. *)
+   the blob to a fresh value of a named monotonic counter; a recovering
+   incarnation refuses a blob the counter proves stale ({!Rollback},
+   [Async]: the host persists the blob after the bump). *)
 
 type recovery_image = {
-  ri_counter : int64;
   ri_view : Ids.view;
   ri_last_executed : Ids.seqno;
   ri_snapshot : string;
@@ -121,10 +119,8 @@ type recovery_image = {
   ri_sessions : (Ids.client_id * Session.keys) list;
 }
 
-let encode_recovery_image ri =
-  W.to_string
-    (fun w () ->
-      W.u64 w ri.ri_counter;
+let encode_recovery_image ~counter ri =
+  Rollback.image ~counter (fun w ->
       W.varint w ri.ri_view;
       W.varint w ri.ri_last_executed;
       W.bytes w ri.ri_snapshot;
@@ -139,36 +135,30 @@ let encode_recovery_image ri =
           W.bytes w k.Session.auth;
           W.bytes w k.Session.enc)
         ri.ri_sessions)
-    ()
 
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let ri_counter = R.u64 r in
-      let ri_view = R.varint r in
-      let ri_last_executed = R.varint r in
-      let ri_snapshot = R.bytes r in
-      let ri_executed =
-        R.list r (fun r ->
-            let seq = R.varint r in
-            let d = R.bytes r in
-            (seq, d))
-      in
-      let ri_sessions =
-        R.list r (fun r ->
-            let c = R.varint r in
-            let auth = R.bytes r in
-            let enc = R.bytes r in
-            (c, { Session.auth; enc }))
-      in
-      { ri_counter; ri_view; ri_last_executed; ri_snapshot; ri_executed; ri_sessions })
-    s
+let decode_recovery_image r =
+  let ri_view = R.varint r in
+  let ri_last_executed = R.varint r in
+  let ri_snapshot = R.bytes r in
+  let ri_executed =
+    R.list r (fun r ->
+        let seq = R.varint r in
+        let d = R.bytes r in
+        (seq, d))
+  in
+  let ri_sessions =
+    R.list r (fun r ->
+        let c = R.varint r in
+        let auth = R.bytes r in
+        let enc = R.bytes r in
+        (c, { Session.auth; enc }))
+  in
+  { ri_view; ri_last_executed; ri_snapshot; ri_executed; ri_sessions }
 
 let seal_checkpoint_state env st seq snapshot =
   let counter = Enclave.counter_increment env "ckpt" in
   let image =
-    { ri_counter = counter;
-      ri_view = st.view;
+    { ri_view = st.view;
       ri_last_executed = seq;
       ri_snapshot = snapshot;
       ri_executed =
@@ -179,7 +169,7 @@ let seal_checkpoint_state env st seq snapshot =
         |> List.sort Log.by_seqno;
       ri_sessions = Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [] }
   in
-  let sealed = Enclave.seal env (encode_recovery_image image) in
+  let sealed = Enclave.seal env (encode_recovery_image ~counter image) in
   Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag = "ckpt:execution"; data = sealed }))
 
 (* Handler (8): originate a Checkpoint every interval.  An
@@ -497,21 +487,14 @@ let on_state_request env st (sr : Message.state_request) =
 (* Caught up once we reach the height vouched by f+1 repliers (at least one
    honest, so the target is a height the cluster genuinely reached). *)
 let finish_recovery_if_caught_up env st =
-  if st.recovering then begin
-    let f1 = Config.f st.cfg + 1 in
-    if List.length st.sync_replies >= f1 then begin
-      let heights =
-        List.map (fun (_, h, _) -> h) st.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      if st.last_executed >= List.nth heights (f1 - 1) then begin
-        st.recovering <- false;
-        st.recovered_once <- true;
-        st.sync_replies <- [];
-        Votes.reset st.sync_votes;
-        Enclave.emit env (Wire.encode_output Wire.Out_recovered)
-      end
-    end
-  end
+  if st.recovering then
+    match Catchup.target st.catchup with
+    | Some (height, _) when st.last_executed >= height ->
+      st.recovering <- false;
+      st.recovered_once <- true;
+      Catchup.reset st.catchup;
+      Enclave.emit env (Wire.encode_output Wire.Out_recovered)
+    | _ -> ()
 
 let on_state_reply env st ~byz (sr : Message.state_reply) =
   Enclave.charge_exec env (1.0 +. float_of_int (List.length sr.st_entries));
@@ -565,18 +548,10 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
           e.se_seq > st.last_executed
           && (not (Log.mem st.decided e.se_seq))
           && String.equal (Message.digest_of_batch e.se_batch) e.se_digest
-          && Votes.add st.sync_votes ~key:e.se_seq ~sender:sr.st_replier
-               (e.se_digest, e.se_batch)
+          && Catchup.vouch st.catchup ~key:e.se_seq ~replier:sr.st_replier ~digest:e.se_digest
         then begin
-          let matching =
-            List.filter
-              (fun (d, _) -> String.equal d e.se_digest)
-              (Votes.get st.sync_votes e.se_seq)
-          in
-          if List.length matching >= Config.f st.cfg + 1 then begin
-            Hashtbl.replace st.batches e.se_digest e.se_batch;
-            Log.set st.decided e.se_seq e.se_digest
-          end
+          Hashtbl.replace st.batches e.se_digest e.se_batch;
+          Log.set st.decided e.se_seq e.se_digest
         end)
       sr.st_entries;
     let vouched =
@@ -584,25 +559,15 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
         (fun acc (e : Message.state_entry) -> max acc e.se_seq)
         sr.st_stable sr.st_entries
     in
-    (* One live slot per replier: a retry round's reply supersedes the
-       replier's earlier (possibly shorter) one. *)
-    st.sync_replies <-
-      (sr.st_replier, vouched, sr.st_view)
-      :: List.filter (fun (r, _, _) -> r <> sr.st_replier) st.sync_replies;
+    Catchup.reply st.catchup ~replier:sr.st_replier ~height:vouched ~view:sr.st_view;
     (* Adopt the view vouched by f+1 repliers so commits flowing in the
        cluster's current view are not discarded. *)
-    let f1 = Config.f st.cfg + 1 in
-    if List.length st.sync_replies >= f1 then begin
-      let views =
-        List.map (fun (_, _, v) -> v) st.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      let v = List.nth views (f1 - 1) in
-      if v > st.view then begin
-        st.view <- v;
-        Votes.reset st.commits;
-        Enclave.emit env (Wire.encode_output (Wire.Out_entered_view st.view))
-      end
-    end;
+    (match Catchup.target st.catchup with
+    | Some (_, v) when v > st.view ->
+      st.view <- v;
+      Votes.reset st.commits;
+      Enclave.emit env (Wire.encode_output (Wire.Out_entered_view st.view))
+    | _ -> ());
     try_execute env st ~byz;
     finish_recovery_if_caught_up env st
   end
@@ -625,54 +590,25 @@ let on_recover env st blob_opt =
     st.halted <- true;
     Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
   in
-  (* The enclave bumps the counter *inside* the seal, but the blob reaches
-     disk through the untrusted host asynchronously — a crash can land
-     between the two, legitimately losing the newest seal.  So acceptance
-     tolerates exactly one slot: a blob bound to [counter] or
-     [counter - 1].  A replayed blob is always ≥ 2 behind (or fails the
-     absent-blob check below), so the tolerance never masks an attack; it
-     costs at most one checkpoint interval of staleness, which state
-     transfer repairs anyway. *)
   let counter = Enclave.counter_read env "ckpt" in
-  (match blob_opt with
-  | None ->
-    (* A counter past 1 proves an earlier seal reached disk (the one-slot
-       window only covers the newest); an absent blob means the host
-       destroyed (or withheld) it — a rollback to the empty state. *)
-    if Int64.compare counter 1L > 0 then
-      refuse
-        (Printf.sprintf
-           "execution: rollback detected — counter at %Ld but no sealed checkpoint offered"
-           counter)
-  | Some sealed -> (
-    match Enclave.unseal env sealed with
-    | Error e -> refuse ("execution: sealed checkpoint rejected: " ^ e)
-    | Ok blob -> (
-      match decode_recovery_image blob with
-      | Error e -> refuse ("execution: sealed checkpoint malformed: " ^ e)
-      | Ok ri ->
-        if
-          Int64.compare ri.ri_counter counter <> 0
-          && Int64.compare ri.ri_counter (Int64.pred counter) <> 0
-        then
-          refuse
-            (Printf.sprintf
-               "execution: rollback detected — sealed checkpoint bound to counter %Ld, \
-                platform counter is %Ld"
-               ri.ri_counter counter)
-        else begin
-          match st.app.State_machine.restore ri.ri_snapshot with
-          | Error e -> refuse ("execution: sealed snapshot rejected by application: " ^ e)
-          | Ok () ->
-            ignore (st.app.State_machine.drain_effects ());
-            st.view <- ri.ri_view;
-            st.last_executed <- ri.ri_last_executed;
-            List.iter (fun (s, d) -> Hashtbl.replace st.executed_log s d) ri.ri_executed;
-            List.iter (fun (c, k) -> Sessions.set st.sessions c k) ri.ri_sessions;
-            Hashtbl.replace st.snapshots ri.ri_last_executed ri.ri_snapshot;
-            Ckpt.force_stable st.ckpt ri.ri_last_executed;
-            Log.advance_low_mark st.decided ri.ri_last_executed
-        end)));
+  (match
+     Rollback.recover Async ~who:"execution" ~counter ~unseal:(Enclave.unseal env)
+       ~decode:decode_recovery_image blob_opt
+   with
+  | Error reason -> refuse reason
+  | Ok None -> ()
+  | Ok (Some ri) -> (
+    match st.app.State_machine.restore ri.ri_snapshot with
+    | Error e -> refuse ("execution: sealed snapshot rejected by application: " ^ e)
+    | Ok () ->
+      ignore (st.app.State_machine.drain_effects ());
+      st.view <- ri.ri_view;
+      st.last_executed <- ri.ri_last_executed;
+      List.iter (fun (s, d) -> Hashtbl.replace st.executed_log s d) ri.ri_executed;
+      List.iter (fun (c, k) -> Sessions.set st.sessions c k) ri.ri_sessions;
+      Hashtbl.replace st.snapshots ri.ri_last_executed ri.ri_snapshot;
+      Ckpt.force_stable st.ckpt ri.ri_last_executed;
+      Log.advance_low_mark st.decided ri.ri_last_executed));
   if not st.halted then begin
     st.recovering <- true;
     Enclave.emit env
@@ -861,7 +797,7 @@ let handle env st ~byz (input : Wire.input) =
               && stable >= st.last_executed + st.cfg.checkpoint_interval
             then begin
               st.recovering <- true;
-              st.sync_replies <- [];
+              Catchup.reset st.catchup;
               Enclave.emit env
                 (Wire.encode_output
                    (Wire.Out_broadcast

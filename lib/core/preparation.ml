@@ -5,6 +5,7 @@ module Session = Splitbft_types.Session
 module Keys = Splitbft_types.Keys
 module Addr = Splitbft_types.Addr
 module Enclave = Splitbft_tee.Enclave
+module Rollback = Splitbft_tee.Rollback
 module Signature = Splitbft_crypto.Signature
 module Box = Splitbft_crypto.Box
 module Hmac = Splitbft_crypto.Hmac
@@ -316,85 +317,55 @@ let gc st stable =
    own monotonic counter (the counter namespace is per-measurement, so the
    three compartments of one replica do not collide). *)
 
-let encode_recovery_image ~counter st =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w st.view;
-      W.varint w st.next_seq;
-      W.varint w (Ckpt.last_stable st.ckpt);
-      W.list w
-        (fun w (c, auth) ->
-          W.varint w c;
-          W.bytes w auth)
-        (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions []))
-    ()
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let next_seq = R.varint r in
-      let last_stable = R.varint r in
-      let sessions =
-        R.list r (fun r ->
-            let c = R.varint r in
-            let auth = R.bytes r in
-            (c, auth))
-      in
-      (counter, view, next_seq, last_stable, sessions))
-    s
+let decode_recovery_image r =
+  let view = R.varint r in
+  let next_seq = R.varint r in
+  let last_stable = R.varint r in
+  let sessions =
+    R.list r (fun r ->
+        let c = R.varint r in
+        let auth = R.bytes r in
+        (c, auth))
+  in
+  (view, next_seq, last_stable, sessions)
 
 let seal_checkpoint_state env st =
   let counter = Enclave.counter_increment env "ckpt" in
-  let sealed = Enclave.seal env (encode_recovery_image ~counter st) in
+  let image =
+    Rollback.image ~counter (fun w ->
+        W.varint w st.view;
+        W.varint w st.next_seq;
+        W.varint w (Ckpt.last_stable st.ckpt);
+        W.list w
+          (fun w (c, auth) ->
+            W.varint w c;
+            W.bytes w auth)
+          (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions []))
+  in
+  let sealed = Enclave.seal env image in
   Enclave.ocall env
     (Wire.encode_output (Wire.Out_persist { tag = "ckpt:preparation"; data = sealed }))
 
 let on_recover env st blob_opt =
-  let refuse reason =
+  let counter = Enclave.counter_read env "ckpt" in
+  match
+    Rollback.recover Async ~who:"preparation" ~counter ~unseal:(Enclave.unseal env)
+      ~decode:decode_recovery_image blob_opt
+  with
+  | Error reason ->
     st.halted <- true;
     Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
-  in
-  (* One-slot tolerance: the counter bumps inside the seal but the blob is
-     persisted asynchronously by the untrusted host, so a crash can
-     legitimately lose the newest seal (see Execution.on_recover). *)
-  let counter = Enclave.counter_read env "ckpt" in
-  match blob_opt with
-  | None ->
-    if Int64.compare counter 1L > 0 then
-      refuse
-        (Printf.sprintf
-           "preparation: rollback detected — counter at %Ld but no sealed checkpoint offered"
-           counter)
-  | Some sealed -> (
-    match Enclave.unseal env sealed with
-    | Error e -> refuse ("preparation: sealed checkpoint rejected: " ^ e)
-    | Ok blob -> (
-      match decode_recovery_image blob with
-      | Error e -> refuse ("preparation: sealed checkpoint malformed: " ^ e)
-      | Ok (sealed_counter, view, next_seq, last_stable, sessions) ->
-        if
-          Int64.compare sealed_counter counter <> 0
-          && Int64.compare sealed_counter (Int64.pred counter) <> 0
-        then
-          refuse
-            (Printf.sprintf
-               "preparation: rollback detected — sealed checkpoint bound to counter %Ld, \
-                platform counter is %Ld"
-               sealed_counter counter)
-        else begin
-          st.view <- view;
-          st.next_seq <- next_seq;
-          (* The image stores only the minimum cursor; each lane's cursor
-             re-derives as the smallest lane-congruent seqno at or above
-             it, exactly as the single-lane path resumes from next_seq. *)
-          realign_lanes st (next_seq - 1);
-          List.iter (fun (c, auth) -> Sessions.set st.sessions c auth) sessions;
-          Ckpt.force_stable st.ckpt last_stable;
-          Log.advance_low_mark st.preprepares last_stable
-        end))
+  | Ok None -> ()
+  | Ok (Some (view, next_seq, last_stable, sessions)) ->
+    st.view <- view;
+    st.next_seq <- next_seq;
+    (* The image stores only the minimum cursor; each lane's cursor
+       re-derives as the smallest lane-congruent seqno at or above it,
+       exactly as the single-lane path resumes from next_seq. *)
+    realign_lanes st (next_seq - 1);
+    List.iter (fun (c, auth) -> Sessions.set st.sessions c auth) sessions;
+    Ckpt.force_stable st.ckpt last_stable;
+    Log.advance_low_mark st.preprepares last_stable
 
 let enter_view env st ~view ~max_s =
   st.view <- view;

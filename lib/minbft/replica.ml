@@ -6,6 +6,7 @@ module Cost_model = Splitbft_tee.Cost_model
 module Platform = Splitbft_tee.Platform
 module Measurement = Splitbft_tee.Measurement
 module Sealing = Splitbft_tee.Sealing
+module Rollback = Splitbft_tee.Rollback
 module Sha256 = Splitbft_crypto.Sha256
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
@@ -17,6 +18,7 @@ module Hmac = Splitbft_crypto.Hmac
 module State_machine = Splitbft_app.State_machine
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
+module Catchup = Splitbft_consensus.Catchup
 module Client_table = Splitbft_consensus.Client_table
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
@@ -105,8 +107,7 @@ type t = {
   snapshots : (int64, string) Hashtbl.t;  (* own snapshot at own checkpoint counters *)
   exec_index_at : (int64, int) Hashtbl.t;  (* counter -> exec index after executing it *)
   mutable stable_proof : (int64 * string * Mmsg.checkpoint list) option;
-  sync_votes : (int64, string * Message.request list) Votes.t;
-  mutable sync_replies : (int * int64 * int) list;
+  catchup : int64 Catchup.t;
       (* one live slot per replier: (replier, vouched head counter, view) *)
   mutable recovering : bool;
   mutable recovered_count : int;
@@ -270,48 +271,38 @@ and maybe_checkpoint t counter =
 
 (* ----- rollback-protected sealed checkpoints ----- *)
 
-and encode_recovery_image t ~counter ~snapshot =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w t.view;
-      W.varint w t.exec_index;
-      W.u64 w t.last_exec_counter;
-      W.bytes w snapshot;
-      W.list w
-        (fun w (i, d) ->
-          W.u64 w i;
-          W.bytes w d)
-        !(t.executed_digests))
-    ()
-
 (* Each seal bumps the platform's monotonic counter and binds the new value
    into the image — the same rollback defense as the SplitBFT compartments,
    for the comparison rows. *)
 and seal_checkpoint_state t ~counter:_ ~snapshot =
   let seal_counter = Platform.counter_increment t.platform "ckpt" in
-  let sealed =
-    Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform)
-      (encode_recovery_image t ~counter:seal_counter ~snapshot)
+  let image =
+    Rollback.image ~counter:seal_counter (fun w ->
+        W.varint w t.view;
+        W.varint w t.exec_index;
+        W.u64 w t.last_exec_counter;
+        W.bytes w snapshot;
+        W.list w
+          (fun w (i, d) ->
+            W.u64 w i;
+            W.bytes w d)
+          !(t.executed_digests))
   in
+  let sealed = Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform) image in
   t.persist_log <- ("ckpt:minbft", sealed) :: t.persist_log
 
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let exec_index = R.varint r in
-      let last_exec_counter = R.u64 r in
-      let snapshot = R.bytes r in
-      let executed =
-        R.list r (fun r ->
-            let i = R.u64 r in
-            let d = R.bytes r in
-            (i, d))
-      in
-      (counter, view, exec_index, last_exec_counter, snapshot, executed))
-    s
+let decode_recovery_image r =
+  let view = R.varint r in
+  let exec_index = R.varint r in
+  let last_exec_counter = R.u64 r in
+  let snapshot = R.bytes r in
+  let executed =
+    R.list r (fun r ->
+        let i = R.u64 r in
+        let d = R.bytes r in
+        (i, d))
+  in
+  (view, exec_index, last_exec_counter, snapshot, executed)
 
 (* ----- prepare / commit ----- *)
 
@@ -656,23 +647,13 @@ let install_entry t ~counter ~digest ~(batch : Message.request list) =
     t.order <- insert_sorted e t.order
 
 let finish_recovery_if_caught_up t =
-  if t.recovering && List.length t.sync_replies >= t.f + 1 then begin
-    let heads =
-      List.sort (fun a b -> Int64.compare b a) (List.map (fun (_, h, _) -> h) t.sync_replies)
-    in
-    (* f+1 repliers vouch for at least this head, so one of them is honest:
-       reaching it means we hold the full executed prefix. *)
-    let target = List.nth heads t.f in
-    if Int64.compare t.last_exec_counter target >= 0 then begin
-      let views =
-        List.sort (fun a b -> Int.compare b a) (List.map (fun (_, _, v) -> v) t.sync_replies)
-      in
-      let v = List.nth views t.f in
+  if t.recovering then
+    match Catchup.target t.catchup with
+    | Some (head, v) when Int64.compare t.last_exec_counter head >= 0 ->
       if v > t.view then t.view <- v;
       t.recovering <- false;
       t.recovered_count <- t.recovered_count + 1;
-      t.sync_replies <- [];
-      Votes.reset t.sync_votes;
+      Catchup.reset t.catchup;
       Timer.stop t.recovery_timer;
       (* Re-derive the executed prefix length over the rebuilt order. *)
       let rec prefix n = function
@@ -685,8 +666,7 @@ let finish_recovery_if_caught_up t =
       done;
       refresh_suspect_timer t;
       try_execute t
-    end
-  end
+    | _ -> ()
 
 let on_state_reply t (s : Mmsg.state_reply) =
   if t.recovering && s.s_requester = t.cfg.id && s.s_replier <> t.cfg.id
@@ -736,17 +716,11 @@ let on_state_reply t (s : Mmsg.state_reply) =
        happen in order. *)
     List.iter
       (fun (e : Mmsg.state_entry) ->
-        if String.equal e.t_digest (Message.digest_of_batch e.t_batch) then begin
-          ignore
-            (Votes.add t.sync_votes ~key:e.t_counter ~sender:s.s_replier
-               (e.t_digest, e.t_batch));
-          if Int64.compare e.t_counter t.last_exec_counter > 0 then begin
-            let votes = Votes.get t.sync_votes e.t_counter in
-            let agreeing = List.filter (fun (d, _) -> String.equal d e.t_digest) votes in
-            if List.length agreeing >= t.f + 1 then
-              install_entry t ~counter:e.t_counter ~digest:e.t_digest ~batch:e.t_batch
-          end
-        end)
+        if
+          String.equal e.t_digest (Message.digest_of_batch e.t_batch)
+          && Catchup.vouch t.catchup ~key:e.t_counter ~replier:s.s_replier ~digest:e.t_digest
+          && Int64.compare e.t_counter t.last_exec_counter > 0
+        then install_entry t ~counter:e.t_counter ~digest:e.t_digest ~batch:e.t_batch)
       s.s_entries;
     (* 3. Fast-forward per-sender windows past counters the transfer covers
        (forward-only, so a lying replier can cost liveness, never safety). *)
@@ -762,9 +736,7 @@ let on_state_reply t (s : Mmsg.state_reply) =
           if Int64.compare e.t_counter acc > 0 then e.t_counter else acc)
         s.s_stable_counter s.s_entries
     in
-    t.sync_replies <-
-      (s.s_replier, head, s.s_view)
-      :: List.filter (fun (r, _, _) -> r <> s.s_replier) t.sync_replies;
+    Catchup.reply t.catchup ~replier:s.s_replier ~height:head ~view:s.s_view;
     finish_recovery_if_caught_up t
   end
 
@@ -942,8 +914,7 @@ let create engine net cfg ~app =
         snapshots = Hashtbl.create 8;
         exec_index_at = Hashtbl.create 64;
         stable_proof = None;
-        sync_votes = Votes.create ();
-        sync_replies = [];
+        catchup = Catchup.create ~f:(Ids.f_of_n_hybrid cfg.n) ~compare:Int64.compare;
         recovering = false;
         recovered_count = 0;
         alerts = [];
@@ -1023,48 +994,31 @@ let restart t =
     Hashtbl.reset t.snapshots;
     Hashtbl.reset t.exec_index_at;
     t.stable_proof <- None;
-    Votes.reset t.sync_votes;
-    t.sync_replies <- [];
+    Catchup.reset t.catchup;
     t.recovering <- false;
     ignore (t.app.State_machine.restore t.initial_snapshot);
     let counter = Platform.counter_read t.platform "ckpt" in
     let verdict =
-      match List.assoc_opt "ckpt:minbft" t.persist_log with
-      | None ->
-        if Int64.compare counter 0L > 0 then
-          Error
-            (Printf.sprintf
-               "minbft: rollback detected — counter at %Ld but no sealed checkpoint on disk"
-               counter)
-        else Ok None
-      | Some sealed -> (
-        match Sealing.unseal ~key:t.seal_key sealed with
-        | Error e -> Error ("minbft: sealed checkpoint rejected: " ^ e)
-        | Ok image -> (
-          match decode_recovery_image image with
-          | Error e -> Error ("minbft: sealed checkpoint undecodable: " ^ e)
-          | Ok (sealed_counter, view, exec_index, last_exec_counter, snapshot, executed) ->
-            if Int64.compare sealed_counter counter <> 0 then
-              Error
-                (Printf.sprintf
-                   "minbft: rollback detected — sealed checkpoint bound to counter %Ld, \
-                    platform counter is %Ld"
-                   sealed_counter counter)
-            else (
-              match t.app.State_machine.restore snapshot with
-              | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
-              | Ok () -> Ok (Some (view, exec_index, last_exec_counter, executed)))))
+      match
+        Rollback.recover Sync ~who:"minbft" ~counter ~unseal:(Sealing.unseal ~key:t.seal_key)
+          ~decode:decode_recovery_image
+          (List.assoc_opt "ckpt:minbft" t.persist_log)
+      with
+      | Error reason -> Error reason
+      | Ok None -> Ok ()
+      | Ok (Some (view, exec_index, last_exec_counter, snapshot, executed)) -> (
+        match t.app.State_machine.restore snapshot with
+        | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
+        | Ok () ->
+          t.view <- view;
+          t.exec_index <- exec_index;
+          t.last_exec_counter <- last_exec_counter;
+          t.executed_digests := executed;
+          Ok ())
     in
     match verdict with
     | Error reason -> refuse t reason (* refuse loudly and stay down *)
-    | Ok restored ->
-      (match restored with
-      | None -> ()
-      | Some (view, exec_index, last_exec_counter, executed) ->
-        t.view <- view;
-        t.exec_index <- exec_index;
-        t.last_exec_counter <- last_exec_counter;
-        t.executed_digests := executed);
+    | Ok () ->
       t.crashed <- false;
       t.recovering <- true;
       Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->

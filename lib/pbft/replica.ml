@@ -6,6 +6,7 @@ module Cost_model = Splitbft_tee.Cost_model
 module Platform = Splitbft_tee.Platform
 module Measurement = Splitbft_tee.Measurement
 module Sealing = Splitbft_tee.Sealing
+module Rollback = Splitbft_tee.Rollback
 module Sha256 = Splitbft_crypto.Sha256
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
@@ -24,6 +25,7 @@ module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Proofs = Splitbft_consensus.Proofs
 module Newview = Splitbft_consensus.Newview
+module Catchup = Splitbft_consensus.Catchup
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module Ledger_entry = Splitbft_storage.Entry
@@ -134,8 +136,7 @@ type t = {
   seal_key : string;
   initial_snapshot : string;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshot at checkpoint seqs *)
-  sync_votes : (Ids.seqno, string * Message.request list) Votes.t;
-  mutable sync_replies : (Ids.replica_id * Ids.seqno * Ids.view) list;
+  catchup : Ids.seqno Catchup.t;
   mutable recovering : bool;
   mutable recovered_count : int;
   mutable alerts : string list;  (* newest first *)
@@ -345,35 +346,17 @@ let refresh_suspect_timer t =
 
 (* ----- rollback-protected sealed checkpoints ----- *)
 
-let encode_recovery_image t ~counter ~snapshot =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w t.view;
-      W.varint w t.last_executed;
-      W.bytes w snapshot;
-      W.list w
-        (fun w (seq, d) ->
-          W.varint w seq;
-          W.bytes w d)
-        (Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.executed_digests []))
-    ()
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let last_executed = R.varint r in
-      let snapshot = R.bytes r in
-      let executed =
-        R.list r (fun r ->
-            let seq = R.varint r in
-            let d = R.bytes r in
-            (seq, d))
-      in
-      (counter, view, last_executed, snapshot, executed))
-    s
+let decode_recovery_image r =
+  let view = R.varint r in
+  let last_executed = R.varint r in
+  let snapshot = R.bytes r in
+  let executed =
+    R.list r (fun r ->
+        let seq = R.varint r in
+        let d = R.bytes r in
+        (seq, d))
+  in
+  (view, last_executed, snapshot, executed)
 
 (* Each seal bumps the platform's monotonic counter and binds the new value
    into the image, so recovery can tell the newest blob from a replayed
@@ -381,28 +364,30 @@ let decode_recovery_image s =
    compartments, for comparison rows). *)
 let seal_checkpoint_state t ~snapshot =
   let counter = Platform.counter_increment t.platform "ckpt" in
-  let sealed =
-    Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform)
-      (encode_recovery_image t ~counter ~snapshot)
+  let image =
+    Rollback.image ~counter (fun w ->
+        W.varint w t.view;
+        W.varint w t.last_executed;
+        W.bytes w snapshot;
+        W.list w
+          (fun w (seq, d) ->
+            W.varint w seq;
+            W.bytes w d)
+          (Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.executed_digests []))
   in
+  let sealed = Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform) image in
   t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
 
+(* Caught up once we reach the catch-up target height. *)
 let finish_recovery t =
-  let f1 = t.f + 1 in
-  if t.recovering && List.length t.sync_replies >= f1 then begin
-    let heights =
-      List.map (fun (_, h, _) -> h) t.sync_replies |> List.sort (fun a b -> Int.compare b a)
-    in
-    (* Caught up once we reach the (f+1)-th highest vouched height: at
-       least one honest replica was at or below it. *)
-    if t.last_executed >= List.nth heights (f1 - 1) then begin
+  if t.recovering then
+    match Catchup.target t.catchup with
+    | Some (height, _) when t.last_executed >= height ->
       t.recovering <- false;
       t.recovered_count <- t.recovered_count + 1;
-      t.sync_replies <- [];
-      Votes.reset t.sync_votes;
+      Catchup.reset t.catchup;
       Timer.stop t.recovery_timer
-    end
-  end
+    | _ -> ()
 
 let send_checkpoint_if_due t seq =
   if seq mod t.cfg.checkpoint_interval = 0 then begin
@@ -940,27 +925,19 @@ let on_state_reply t (sr : Message.state_reply) =
         if
           e.se_seq > t.last_executed
           && String.equal (Message.digest_of_batch e.se_batch) e.se_digest
-          && Votes.add t.sync_votes ~key:e.se_seq ~sender:sr.st_replier
-               (e.se_digest, e.se_batch)
+          && Catchup.vouch t.catchup ~key:e.se_seq ~replier:sr.st_replier ~digest:e.se_digest
         then begin
-          let matching =
-            List.filter
-              (fun (d, _) -> String.equal d e.se_digest)
-              (Votes.get t.sync_votes e.se_seq)
-          in
-          if List.length matching >= t.f + 1 then begin
-            let s = slot t e.se_seq in
-            s.proposal <-
-              Some
-                { Message.pd_view = sr.st_view;
-                  pd_seq = e.se_seq;
-                  pd_digest = e.se_digest;
-                  pd_sender = Ids.primary_of_view ~n:t.cfg.n sr.st_view;
-                  pd_sig = "" };
-            s.batch <- Some e.se_batch;
-            Hashtbl.replace t.batches_by_digest e.se_digest e.se_batch;
-            s.committed <- true
-          end
+          let s = slot t e.se_seq in
+          s.proposal <-
+            Some
+              { Message.pd_view = sr.st_view;
+                pd_seq = e.se_seq;
+                pd_digest = e.se_digest;
+                pd_sender = Ids.primary_of_view ~n:t.cfg.n sr.st_view;
+                pd_sig = "" };
+          s.batch <- Some e.se_batch;
+          Hashtbl.replace t.batches_by_digest e.se_digest e.se_batch;
+          s.committed <- true
         end)
       sr.st_entries;
     let vouched =
@@ -968,24 +945,14 @@ let on_state_reply t (sr : Message.state_reply) =
         (fun acc (e : Message.state_entry) -> max acc e.se_seq)
         sr.st_stable sr.st_entries
     in
-    (* One live slot per replier: the recovery timer re-requests, and a
-       newer reply supersedes the older one. *)
-    t.sync_replies <-
-      (sr.st_replier, vouched, sr.st_view)
-      :: List.filter (fun (r, _, _) -> r <> sr.st_replier) t.sync_replies;
+    Catchup.reply t.catchup ~replier:sr.st_replier ~height:vouched ~view:sr.st_view;
     (* Adopt the view vouched by f+1 repliers so current-view traffic is
        not discarded after the catch-up. *)
-    let f1 = t.f + 1 in
-    if List.length t.sync_replies >= f1 then begin
-      let views =
-        List.map (fun (_, _, v) -> v) t.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      let v = List.nth views (f1 - 1) in
-      if v > t.view && not t.in_view_change then begin
-        t.view <- v;
-        t.next_seq <- max t.next_seq (t.last_executed + 1)
-      end
-    end;
+    (match Catchup.target t.catchup with
+    | Some (_, v) when v > t.view && not t.in_view_change ->
+      t.view <- v;
+      t.next_seq <- max t.next_seq (t.last_executed + 1)
+    | _ -> ());
     try_execute t;
     finish_recovery t
   end
@@ -1135,8 +1102,7 @@ let create engine net cfg ~app =
         seal_key = Platform.sealing_key platform measurement;
         initial_snapshot = app.State_machine.snapshot ();
         snapshots = Hashtbl.create 4;
-        sync_votes = Votes.create ~size:32 ();
-        sync_replies = [];
+        catchup = Catchup.create ~f:(Ids.f_of_n cfg.n) ~compare:Int.compare;
         recovering = false;
         recovered_count = 0;
         alerts = [];
@@ -1215,55 +1181,37 @@ let restart t =
     t.in_view_change <- false;
     t.vc_target <- 0;
     Votes.reset t.viewchanges;
-    Votes.reset t.sync_votes;
-    t.sync_replies <- [];
+    Catchup.reset t.catchup;
     (* The reply cache must not survive either: stale "already executed"
        entries would make re-execution skip operations and diverge. *)
     t.clients <- Client_table.create ();
     (match t.app.State_machine.restore t.initial_snapshot with
     | Ok () -> ignore (t.app.State_machine.drain_effects ())
     | Error _ -> ());
-    (* Rollback check: the newest sealed checkpoint must carry the exact
-       platform counter value, and a moved counter proves a seal exists. *)
     let counter = Platform.counter_read t.platform "ckpt" in
-    let refused = ref None in
-    (match List.assoc_opt "ckpt:pbft" t.persist_log with
-    | None ->
-      if Int64.compare counter 0L > 0 then
-        refused :=
-          Some
-            (Printf.sprintf
-               "pbft: rollback detected — counter at %Ld but no sealed checkpoint on disk"
-               counter)
-    | Some sealed -> (
-      match Sealing.unseal ~key:t.seal_key sealed with
-      | Error e -> refused := Some ("pbft: sealed checkpoint rejected: " ^ e)
-      | Ok blob -> (
-        match decode_recovery_image blob with
-        | Error e -> refused := Some ("pbft: sealed checkpoint malformed: " ^ e)
-        | Ok (sealed_counter, view, last_executed, snapshot, executed) ->
-          if Int64.compare sealed_counter counter <> 0 then
-            refused :=
-              Some
-                (Printf.sprintf
-                   "pbft: rollback detected — sealed checkpoint bound to counter %Ld, \
-                    platform counter is %Ld"
-                   sealed_counter counter)
-          else (
-            match t.app.State_machine.restore snapshot with
-            | Error e -> refused := Some ("pbft: sealed snapshot rejected: " ^ e)
-            | Ok () ->
-              ignore (t.app.State_machine.drain_effects ());
-              t.view <- view;
-              t.next_seq <- last_executed + 1;
-              t.last_executed <- last_executed;
-              List.iter
-                (fun (seq, d) -> Hashtbl.replace t.executed_digests seq d)
-                executed;
-              Hashtbl.replace t.snapshots last_executed snapshot;
-              Ckpt.force_stable t.ckpt last_executed;
-              Log.advance_low_mark t.slots last_executed))));
-    match !refused with
+    let verdict =
+      match
+        Rollback.recover Sync ~who:"pbft" ~counter ~unseal:(Sealing.unseal ~key:t.seal_key)
+          ~decode:decode_recovery_image
+          (List.assoc_opt "ckpt:pbft" t.persist_log)
+      with
+      | Error reason -> Some reason
+      | Ok None -> None
+      | Ok (Some (view, last_executed, snapshot, executed)) -> (
+        match t.app.State_machine.restore snapshot with
+        | Error e -> Some ("pbft: sealed snapshot rejected: " ^ e)
+        | Ok () ->
+          ignore (t.app.State_machine.drain_effects ());
+          t.view <- view;
+          t.next_seq <- last_executed + 1;
+          t.last_executed <- last_executed;
+          List.iter (fun (seq, d) -> Hashtbl.replace t.executed_digests seq d) executed;
+          Hashtbl.replace t.snapshots last_executed snapshot;
+          Ckpt.force_stable t.ckpt last_executed;
+          Log.advance_low_mark t.slots last_executed;
+          None)
+    in
+    match verdict with
     | Some reason -> t.alerts <- reason :: t.alerts  (* stay down, loudly *)
     | None ->
       (* Feed cache and subscriptions were host memory: gone with the

@@ -4,7 +4,7 @@ module Resource = Splitbft_sim.Resource
 module Registry = Splitbft_obs.Registry
 module Message = Splitbft_types.Message
 module Addr = Splitbft_types.Addr
-module Votes = Splitbft_consensus.Votes
+module Catchup = Splitbft_consensus.Catchup
 module State_machine = Splitbft_app.State_machine
 
 type t = {
@@ -19,7 +19,7 @@ type t = {
   read_service_us : float;
   res : Resource.t;  (* the follower's single serial service context *)
   app : State_machine.t;
-  votes : (int, string * Entry.t) Votes.t;  (* seq -> (content digest, entry) *)
+  votes : int Catchup.t;  (* seq -> vouched content digests *)
   pending : (int, Entry.t) Hashtbl.t;  (* vouched, waiting for the prefix *)
   applied_log : (int, string) Hashtbl.t;
   tips : (int, int) Hashtbl.t;  (* replica -> advertised tip *)
@@ -38,13 +38,12 @@ type t = {
 let stale_result = "STALE"
 let bad_op_result = "REFUSED"
 
-(* The (f+1)-th largest advertised tip: at least one of f+1 distinct
-   replicas is honest, so this is a height the cluster genuinely
-   committed — the reference point for staleness. *)
+(* The vouched tip is a height the cluster genuinely committed — the
+   reference point for staleness. *)
 let vouched_tip t =
-  let tips = Hashtbl.fold (fun _ v acc -> v :: acc) t.tips [] in
-  if List.length tips < t.f + 1 then 0
-  else List.nth (List.sort (fun a b -> Int.compare b a) tips) t.f
+  Hashtbl.fold (fun _ v acc -> v :: acc) t.tips []
+  |> Catchup.vouched_height ~f:t.f ~compare:Int.compare
+  |> Option.value ~default:0
 
 let lag t = max 0 (vouched_tip t - t.applied)
 
@@ -83,17 +82,13 @@ let on_feed t (lf : Message.ledger_feed) =
       | Error _ -> ()
       | Ok (e, _chain) ->
         if e.seq > t.applied && not (Hashtbl.mem t.pending e.seq) then begin
-          let cd = Entry.content_digest e in
-          ignore (Votes.add t.votes ~key:e.seq ~sender:r (cd, e));
-          let matching =
-            List.filter (fun (d, _) -> String.equal d cd) (Votes.get t.votes e.seq)
-          in
           (* Install only once f+1 distinct replicas fed byte-identical
              entry content — the records are unsigned, so agreement is
              what makes them trustworthy (same rule as state transfer). *)
-          if List.length matching >= t.f + 1 then begin
+          if Catchup.vouch t.votes ~key:e.seq ~replier:r ~digest:(Entry.content_digest e)
+          then begin
             Hashtbl.replace t.pending e.seq e;
-            Votes.remove t.votes e.seq
+            Catchup.forget t.votes e.seq
           end
         end)
     lf.lf_records;
@@ -191,7 +186,7 @@ let create ?(lag_bound = 64) ?(resubscribe_every = 200_000.0) ?(read_service_us 
       read_service_us;
       res = Resource.create engine ~name:(Printf.sprintf "follower%d" fid);
       app;
-      votes = Votes.create ~size:128 ();
+      votes = Catchup.create ~f ~compare:Int.compare;
       pending = Hashtbl.create 128;
       applied_log = Hashtbl.create 1024;
       tips = Hashtbl.create 8;

@@ -298,23 +298,16 @@ let recover ~segment_entries ~counter ~unseal records =
   match !error with
   | Some reason -> Error reason
   | None ->
-    (* Counter binding, with the same one-slot tolerance as the sealed
-       checkpoints: the enclave bumps inside the seal but the artifact
-       reaches disk through the untrusted host, so a crash can lose
-       exactly the newest one.  Anything further behind — or an artifact
-       {e newer} than the platform counter (a wiped counter) — is a
-       rollback and the ledger is refused loudly. *)
+    (* Counter binding: the enclave bumps inside the seal but the artifact
+       reaches disk through the untrusted host, the [Async] case.  Sealed
+       counters start at 1, so 0 means nothing sealed survived. *)
     let x = !newest_counter in
-    if Int64.equal x counter || Int64.equal x (Int64.pred counter) then
-      Ok
+    Result.map
+      (fun () ->
         { ledger = t;
           entries = List.rev !entries_rev;
           rec_stable = t.stable;
           rec_state_digest = t.state_digest;
-          torn_tail = !torn }
-    else
-      Error
-        (Printf.sprintf
-           "ledger: rollback detected — newest sealed artifact bound to counter %Ld, \
-            platform counter is %Ld"
-           x counter)
+          torn_tail = !torn })
+      (Splitbft_tee.Rollback.check Async ~who:"ledger" ~counter
+         (if Int64.equal x 0L then None else Some x))

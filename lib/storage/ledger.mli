@@ -108,6 +108,7 @@ val recover :
   (recovered, string) result
 (** Replays persisted records (oldest first) into a fresh ledger.
     [counter] is the platform's current value of the ledger counter; the
-    newest sealed artifact must be bound to [counter] or [counter - 1]
-    (the one-slot crash window).  [Error reason] demands the caller take
-    the refusal path (halt + alert) — it means tampering, not a crash. *)
+    newest sealed artifact must pass {!Splitbft_tee.Rollback.check} in
+    [Async] mode (bound to [counter] or [counter - 1], the one-slot crash
+    window).  [Error reason] demands the caller take the refusal path
+    (halt + alert) — it means tampering, not a crash. *)

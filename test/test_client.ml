@@ -274,6 +274,27 @@ let test_window_respected () =
   checkb "outstanding never exceeds the window" true (!inflight_max <= 3);
   checki "all eventually complete" 10 (Client.completed client)
 
+let test_backlog_dispatches_in_order () =
+  (* A burst far deeper than the window waits in the client's backlog and
+     must leave it first-in, first-out. *)
+  let sent = ref [] in
+  let engine, _, client =
+    setup ~reply_fn:(fun ~replica ~request ->
+        if replica = 0 then sent := request.Message.payload :: !sent;
+        Some "R")
+  in
+  let ops = List.init 50 string_of_int in
+  let done_ = ref [] in
+  Client.start client ~on_ready:(fun () ->
+      List.iter
+        (fun op ->
+          Client.submit client ~op ~on_result:(fun ~latency_us:_ ~result:_ ->
+              done_ := op :: !done_))
+        ops);
+  Engine.run ~until:10_000_000.0 engine;
+  Alcotest.(check (list string)) "dispatched in submission order" ops (List.rev !sent);
+  Alcotest.(check (list string)) "completed in submission order" ops (List.rev !done_)
+
 let test_splitbft_handshake_requires_genuine_quotes () =
   (* A network of fake replicas that merely echo Session_init with junk
      quotes: the client must never become ready. *)
@@ -315,4 +336,5 @@ let suites =
         Alcotest.test_case "backoff jitter bounded" `Quick
           test_backoff_jitter_deterministic_and_bounded;
         Alcotest.test_case "window respected" `Quick test_window_respected;
+        Alcotest.test_case "backlog dispatches in order" `Quick test_backlog_dispatches_in_order;
         Alcotest.test_case "fake quotes rejected" `Quick test_splitbft_handshake_requires_genuine_quotes ] ) ]

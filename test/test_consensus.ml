@@ -16,6 +16,7 @@ module Config = Splitbft_core.Config
 module Execution = Splitbft_core.Execution
 module Client = Splitbft_client.Client
 module Kvs = Splitbft_app.Kvs
+module Catchup = Splitbft_consensus.Catchup
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -376,6 +377,54 @@ let test_functor_splitbft_lanes () =
     (flat_of_direct_split ~lanes:4 ~workers:4 ~seed ~ops ())
     (flat_of_harness (Proto.Proto_splitbft.make ~lanes:4 ~exec_workers:4 ()) ~seed ~ops)
 
+(* ----- catch-up tally ----- *)
+
+let target = Alcotest.(option (pair int int))
+
+let test_catchup_inflated_claims () =
+  (* f = 2: two liars claim absurd heights and views; the target is the
+     third highest claim, which an honest replier made. *)
+  let c = Catchup.create ~f:2 ~compare:Int.compare in
+  Catchup.reply c ~replier:5 ~height:1_000_000 ~view:900;
+  Catchup.reply c ~replier:6 ~height:999_999 ~view:901;
+  Alcotest.check target "liars alone set nothing" None (Catchup.target c);
+  Catchup.reply c ~replier:1 ~height:40 ~view:3;
+  Alcotest.check target "f+1-th claim is honest" (Some (40, 3)) (Catchup.target c);
+  Catchup.reply c ~replier:2 ~height:48 ~view:2;
+  Catchup.reply c ~replier:3 ~height:44 ~view:4;
+  Alcotest.check target "ranked separately" (Some (48, 4)) (Catchup.target c);
+  (* Polymorphic in the height: MinBFT's USIG counters. *)
+  let m = Catchup.create ~f:1 ~compare:Int64.compare in
+  Catchup.reply m ~replier:0 ~height:Int64.max_int ~view:7;
+  Catchup.reply m ~replier:2 ~height:12L ~view:1;
+  Alcotest.(check (option (pair int64 int))) "int64 heights" (Some (12L, 1)) (Catchup.target m)
+
+let test_catchup_retry_replaces () =
+  let c = Catchup.create ~f:1 ~compare:Int.compare in
+  Catchup.reply c ~replier:1 ~height:10 ~view:0;
+  Catchup.reply c ~replier:1 ~height:12 ~view:1;
+  Alcotest.check target "one replier's two replies are not f+1" None (Catchup.target c);
+  Catchup.reply c ~replier:2 ~height:30 ~view:1;
+  Alcotest.check target "live reply only" (Some (12, 1)) (Catchup.target c);
+  (* A retry round may report less: it still replaces the earlier reply. *)
+  Catchup.reply c ~replier:2 ~height:8 ~view:0;
+  Alcotest.check target "shorter retry supersedes" (Some (8, 0)) (Catchup.target c);
+  Catchup.reset c;
+  Alcotest.check target "reset" None (Catchup.target c)
+
+let test_catchup_vouch_needs_f1_matching () =
+  let c = Catchup.create ~f:1 ~compare:Int64.compare in
+  let vouch replier digest = Catchup.vouch c ~key:7L ~replier ~digest in
+  checkb "one replier" false (vouch 1 "a");
+  checkb "same replier again" false (vouch 1 "a");
+  checkb "second replier disagrees" false (vouch 2 "b");
+  checkb "f+1 distinct repliers agree" true (vouch 3 "a");
+  checkb "other keys unaffected" false (Catchup.vouch c ~key:8L ~replier:3 ~digest:"a");
+  Catchup.forget c 7L;
+  checkb "forgotten key starts over" false (vouch 1 "a");
+  Catchup.reset c;
+  checkb "reset starts over" false (vouch 3 "a")
+
 let suites =
   [ ( "consensus-differential",
       [
@@ -392,4 +441,10 @@ let suites =
         Alcotest.test_case "functor vs direct: splitbft" `Slow test_functor_splitbft;
         Alcotest.test_case "functor vs direct: splitbft l4w4" `Slow
           test_functor_splitbft_lanes;
+      ] );
+    ( "catchup",
+      [ Alcotest.test_case "inflated claims cannot set the target" `Quick
+          test_catchup_inflated_claims;
+        Alcotest.test_case "retry reply replaces" `Quick test_catchup_retry_replaces;
+        Alcotest.test_case "vouch needs f+1 matching" `Quick test_catchup_vouch_needs_f1_matching
       ] ) ]

@@ -6,6 +6,9 @@ module Enclave = Splitbft_tee.Enclave
 module Attestation = Splitbft_tee.Attestation
 module Sealing = Splitbft_tee.Sealing
 module Cost_model = Splitbft_tee.Cost_model
+module Rollback = Splitbft_tee.Rollback
+module W = Splitbft_codec.Writer
+module R = Splitbft_codec.Reader
 module Rng = Splitbft_util.Rng
 
 let checkb = Alcotest.(check bool)
@@ -261,6 +264,62 @@ let test_cost_model_modes () =
   checkf "sim zeroes ocall transitions" 0.0 sim.Cost_model.ocall_transition_us;
   checkb "sim keeps crypto costs" true (sim.Cost_model.verify_us = d.Cost_model.verify_us)
 
+(* ----- rollback guard ----- *)
+
+let test_rollback_decision_table () =
+  let key = String.make 32 'k' and rng = Rng.create 7L in
+  let seal plain = Sealing.seal ~key ~rng plain in
+  let image ~counter = seal (Rollback.image ~counter (fun w -> W.varint w 42)) in
+  let has sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let verdict mode ~counter blob =
+    match
+      Rollback.recover mode ~who:"unit" ~counter ~unseal:(Sealing.unseal ~key) ~decode:R.varint
+        blob
+    with
+    | Ok None -> "fresh"
+    | Ok (Some 42) -> "restored"
+    | Ok (Some _) -> "wrong body"
+    | Error e when not (has "unit: " e) -> "unattributed"
+    | Error e when has "rollback detected" e -> "rollback"
+    | Error e when has "malformed" e -> "malformed"
+    | Error e when has "rejected" e -> "rejected"
+    | Error e -> e
+  in
+  let c = 5L in
+  (* case, platform counter, offered blob, Async verdict, Sync verdict *)
+  List.iter
+    (fun (case, counter, blob, async, sync) ->
+      Alcotest.(check string) (case ^ ", Async") async (verdict Async ~counter blob);
+      Alcotest.(check string) (case ^ ", Sync") sync (verdict Sync ~counter blob))
+    [ ("no blob, counter 0", 0L, None, "fresh", "fresh");
+      ("no blob, counter 1", 1L, None, "fresh", "rollback");
+      ("no blob, counter 2", 2L, None, "rollback", "rollback");
+      ("sealed at c", c, Some (image ~counter:c), "restored", "restored");
+      ("sealed at c-1", c, Some (image ~counter:(Int64.pred c)), "restored", "rollback");
+      ("sealed at c-2", c, Some (image ~counter:(Int64.sub c 2L)), "rollback", "rollback");
+      ("sealed at c+1 (wiped counter)", c, Some (image ~counter:(Int64.succ c)), "rollback",
+       "rollback");
+      ("unseal failure", c, Some "not a sealed blob", "rejected", "rejected");
+      ("body shorter than the header", c, Some (seal "abc"), "malformed", "malformed");
+      ( "trailing bytes after the body",
+        c,
+        Some
+          (seal
+             (Rollback.image ~counter:c (fun w ->
+                  W.varint w 42;
+                  W.u8 w 0))),
+        "malformed",
+        "malformed" ) ];
+  (* The bare counter rule agrees, and a refusal names the caller. *)
+  checkb "check: c-1 under Async" true (Result.is_ok (Rollback.check Async ~who:"x" ~counter:c (Some 4L)));
+  (match Rollback.check Sync ~who:"ledger" ~counter:c (Some 4L) with
+  | Ok () -> Alcotest.fail "Sync accepted c-1"
+  | Error e -> checkb "refusal names the caller" true (has "ledger: rollback detected" e))
+
 let suites =
   [ ( "tee",
       [ Alcotest.test_case "measurement identity" `Quick test_measurement_identity;
@@ -280,4 +339,5 @@ let suites =
         Alcotest.test_case "seal from env" `Quick test_enclave_seal_env;
         Alcotest.test_case "scoped counter" `Quick test_enclave_counter_scoped;
         Alcotest.test_case "quote verifies" `Quick test_enclave_quote_verifies;
-        Alcotest.test_case "cost model modes" `Quick test_cost_model_modes ] ) ]
+        Alcotest.test_case "cost model modes" `Quick test_cost_model_modes;
+        Alcotest.test_case "rollback decision table" `Quick test_rollback_decision_table ] ) ]
