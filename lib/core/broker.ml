@@ -11,6 +11,7 @@ module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module W = Splitbft_codec.Writer
 module Lru = Splitbft_util.Lru
+module Batcher = Splitbft_consensus.Batcher
 module Feed = Splitbft_storage.Feed
 module Ledger = Splitbft_storage.Ledger
 module Ledger_entry = Splitbft_storage.Entry
@@ -40,8 +41,7 @@ type t = {
   mutable next_batch_lane : int;  (* round-robin stripe for In_batch ecalls *)
   c_lane_ecalls : Registry.counter array;  (* per-lane; empty when lanes = 1 *)
   mutable view : Ids.view;  (* belief, liveness-only *)
-  pending : Message.request Queue.t;  (* batch queue, FIFO *)
-  queued : (Ids.client_id * int64, unit) Hashtbl.t;  (* membership of [pending] *)
+  pending : Batcher.t;
   batch_timer : Timer.t;
   awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
   suspect_timer : Timer.t;
@@ -463,19 +463,8 @@ and request_replied t (rp : Message.reply) =
   else Timer.restart t.suspect_timer
 
 and flush_batch t =
-  if is_primary t && not (Queue.is_empty t.pending) then begin
-    (* O(batch): dequeue the head of the FIFO and retire its membership
-       keys; nothing ever re-walks the whole queue. *)
-    let take = min t.cfg.batch_size (Queue.length t.pending) in
-    let rec grab i acc =
-      if i = 0 then List.rev acc
-      else begin
-        let r = Queue.pop t.pending in
-        Hashtbl.remove t.queued (r.Message.client, r.Message.timestamp);
-        grab (i - 1) (r :: acc)
-      end
-    in
-    let batch = grab take [] in
+  if is_primary t && Batcher.length t.pending > 0 then begin
+    let batch = Batcher.take t.pending ~max:t.cfg.batch_size in
     if Config.hotpath t.cfg then begin
       let now = Engine.now t.engine in
       List.iter
@@ -484,7 +473,7 @@ and flush_batch t =
         batch
     end;
     Registry.incr t.c_batches;
-    Registry.observe t.h_batch_occupancy (float_of_int take);
+    Registry.observe t.h_batch_occupancy (float_of_int (List.length batch));
     (* The batch rides under the first sampled request's trace; the other
        members' contexts stay in [req_ctx] for their replies. *)
     let ctx =
@@ -494,10 +483,14 @@ and flush_batch t =
         batch
     in
     ecall t ?ctx ~body:batch Ids.Preparation (Wire.In_batch batch);
-    if Queue.length t.pending >= t.cfg.batch_size then flush_batch t
-    else if not (Queue.is_empty t.pending) then Timer.start t.batch_timer
-    else Timer.stop t.batch_timer
+    flush_or_arm t
   end
+
+and flush_or_arm t =
+  match Batcher.next t.pending ~batch_size:t.cfg.batch_size with
+  | Batcher.Flush -> flush_batch t
+  | Batcher.Arm -> Timer.start t.batch_timer
+  | Batcher.Idle -> Timer.stop t.batch_timer
 
 let on_request t ?ctx (r : Message.request) =
   let key = (r.client, r.timestamp) in
@@ -540,12 +533,7 @@ let on_request t ?ctx (r : Message.request) =
         (* Batched and awaiting a reply: re-queueing would only re-order
            it.  The suspicion timer above still guards liveness. *)
         Registry.incr t.c_retx_suppressed
-      else if not (Hashtbl.mem t.queued key) then begin
-        Hashtbl.replace t.queued key ();
-        Queue.push r t.pending;
-        if Queue.length t.pending >= t.cfg.batch_size then flush_batch t
-        else Timer.start t.batch_timer
-      end
+      else if Batcher.push t.pending r then flush_or_arm t
     end
   end
 
@@ -648,8 +636,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
         next_batch_lane = 0;
         c_lane_ecalls;
         view = 0;
-        pending = Queue.create ();
-        queued = Hashtbl.create 64;
+        pending = Batcher.create ();
         batch_timer =
           Timer.create engine
             ~cls:(Engine.Choice { host = Addr.replica cfg.id; lane = -1 })
@@ -767,8 +754,7 @@ let crash t =
   t.suspect_delay_us <- t.cfg.suspect_timeout_us;
   Timer.set_delay t.suspect_timer t.cfg.suspect_timeout_us;
   Timer.stop t.recovery_timer;
-  Queue.clear t.pending;
-  Hashtbl.reset t.queued;
+  Batcher.clear t.pending;
   Hashtbl.reset t.awaiting;
   Hashtbl.reset t.req_ctx;
   Hashtbl.reset t.inflight;

@@ -45,7 +45,7 @@ let input_into w input =
         W.bytes w data)
       records
 
-let encode_input_plain input = W.to_string input_into input
+let encode_input input = W.to_string input_into input
 
 let encode_input_into ?ctx w input =
   input_into w input;
@@ -86,23 +86,15 @@ let decode_input_exact s =
    Message uses, with exact-parse fallback against magic-tail collisions
    in legacy payloads (cf. Message.decode_traced). *)
 
-let encode_input ?ctx input = Trace_ctx.append ctx (encode_input_plain input)
-
-let decode_input_traced s =
+let decode_input s =
   match Trace_ctx.strip s with
-  | body, (Some _ as ctx) -> (
+  | body, Some _ -> (
     match decode_input_exact body with
-    | Ok input -> Ok (input, ctx)
-    | Error _ -> (
-      match decode_input_exact s with
-      | Ok input -> Ok (input, None)
-      | Error e -> Error e))
-  | _, None -> (
-    match decode_input_exact s with Ok i -> Ok (i, None) | Error e -> Error e)
+    | Ok _ as input -> input
+    | Error _ -> decode_input_exact s)
+  | _, None -> decode_input_exact s
 
-let decode_input s = Result.map fst (decode_input_traced s)
-
-let encode_output_plain output =
+let encode_output output =
   W.to_string
     (fun w output ->
       match output with
@@ -143,8 +135,6 @@ let decode_output_exact s =
       | 6 -> Out_recovered
       | t -> raise (R.Error (Printf.sprintf "unknown output tag %d" t)))
     s
-
-let encode_output ?ctx output = Trace_ctx.append ctx (encode_output_plain output)
 
 let decode_output_traced s =
   match Trace_ctx.strip s with

@@ -40,25 +40,25 @@ type output =
   | Out_recovered  (** recovery complete: caught up and rejoining quorums *)
 
 (** Envelopes optionally carry a trace context as a backward-compatible
-    trailer ({!Splitbft_obs.Trace_ctx}): [encode_*] without [ctx] is
-    byte-identical to the pre-tracing encoding, and the plain [decode_*]
-    tolerate (and drop) a trailer, so compartments built before tracing
-    — and sealed payloads — keep decoding. *)
+    trailer ({!Splitbft_obs.Trace_ctx}): the broker appends one to an
+    ecall input ([encode_input_into ~ctx]) and reads one off an output
+    ([decode_output_traced]).  Without a trailer the bytes are the
+    pre-tracing encoding, and the plain [decode_*] tolerate (and drop) a
+    trailer, so compartments built before tracing — and sealed payloads —
+    keep decoding. *)
 
-val encode_input : ?ctx:Splitbft_obs.Trace_ctx.t -> input -> string
+val encode_input : input -> string
 val decode_input : string -> (input, string) result
 
 val encode_input_into :
   ?ctx:Splitbft_obs.Trace_ctx.t -> Splitbft_codec.Writer.t -> input -> unit
-(** [encode_input] straight into an existing writer (trailer included) —
-    with {!Splitbft_codec.Writer.reset} this lets the broker build every
-    ecall payload in one reusable arena instead of growing a fresh buffer
-    per call.  Bytes are identical to {!encode_input}. *)
+(** [encode_input] straight into an existing writer, followed by [ctx]'s
+    trailer — with {!Splitbft_codec.Writer.reset} this lets the broker
+    build every ecall payload in one reusable arena instead of growing a
+    fresh buffer per call.  Without [ctx] the bytes are identical to
+    {!encode_input}. *)
 
-val decode_input_traced :
-  string -> (input * Splitbft_obs.Trace_ctx.t option, string) result
-
-val encode_output : ?ctx:Splitbft_obs.Trace_ctx.t -> output -> string
+val encode_output : output -> string
 val decode_output : string -> (output, string) result
 
 val decode_output_traced :

@@ -19,6 +19,7 @@ module State_machine = Splitbft_app.State_machine
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
 module Catchup = Splitbft_consensus.Catchup
+module Batcher = Splitbft_consensus.Batcher
 module Client_table = Splitbft_consensus.Client_table
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
@@ -85,8 +86,7 @@ type t = {
   executed_digests : (int64 * string) list ref;  (* (exec index, digest) *)
   checkpoints : (int64, Mmsg.checkpoint) Votes.t;
   mutable clients : Client_table.t;
-  mutable pending : Message.request list;
-  mutable pending_count : int;
+  pending : Batcher.t;
   batch_timer : Timer.t;
   awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
   suspect_timer : Timer.t;
@@ -406,16 +406,8 @@ let on_checkpoint t (k : Mmsg.checkpoint) =
 (* ----- batching (primary) ----- *)
 
 let rec flush_batch t =
-  if is_primary t && t.pending_count > 0 then begin
-    let take = min t.cfg.batch_size t.pending_count in
-    let all = List.rev t.pending in
-    let rec split i acc rest =
-      if i = 0 then (List.rev acc, rest)
-      else match rest with [] -> (List.rev acc, []) | x :: tl -> split (i - 1) (x :: acc) tl
-    in
-    let batch, remaining = split take [] all in
-    t.pending <- List.rev remaining;
-    t.pending_count <- t.pending_count - take;
+  if is_primary t && Batcher.length t.pending > 0 then begin
+    let batch = Batcher.take t.pending ~max:t.cfg.batch_size in
     let make reqs =
       let unsigned = { Mmsg.p_view = t.view; p_batch = reqs; p_ui = { Usig.counter = 0L; cert = "" } } in
       { unsigned with
@@ -445,10 +437,14 @@ let rec flush_batch t =
       let p = make batch in
       accept_prepare t p;
       broadcast t ~cost:(ui_create_cost t) (Mmsg.Prepare p));
-    if t.pending_count >= t.cfg.batch_size then flush_batch t
-    else if t.pending_count > 0 then Timer.start t.batch_timer
-    else Timer.stop t.batch_timer
+    flush_or_arm t
   end
+
+and flush_or_arm t =
+  match Batcher.next t.pending ~batch_size:t.cfg.batch_size with
+  | Batcher.Flush -> flush_batch t
+  | Batcher.Arm -> Timer.start t.batch_timer
+  | Batcher.Idle -> Timer.stop t.batch_timer
 
 (* ----- view change (simplified; see DESIGN.md) ----- *)
 
@@ -497,11 +493,7 @@ let on_request t (r : Message.request) =
     Hashtbl.replace t.awaiting (r.client, r.timestamp) ();
     refresh_suspect_timer t;
     if is_primary t then begin
-      let queued =
-        List.exists
-          (fun (q : Message.request) -> q.client = r.client && q.timestamp = r.timestamp)
-          t.pending
-      in
+      (* Drop duplicates already ordered; the batcher drops queued ones. *)
       let ordered =
         Hashtbl.fold
           (fun _ (e : entry) acc ->
@@ -512,12 +504,7 @@ let on_request t (r : Message.request) =
                  e.e_batch)
           t.by_counter false
       in
-      if not (queued || ordered) then begin
-        t.pending <- r :: t.pending;
-        t.pending_count <- t.pending_count + 1;
-        if t.pending_count >= t.cfg.batch_size then flush_batch t
-        else Timer.start t.batch_timer
-      end
+      if (not ordered) && Batcher.push t.pending r then flush_or_arm t
     end
   end
 
@@ -881,8 +868,7 @@ let create engine net cfg ~app =
         executed_digests = ref [];
         checkpoints = Votes.create ();
         clients = Client_table.create ();
-        pending = [];
-        pending_count = 0;
+        pending = Batcher.create ();
         batch_timer =
           Timer.create engine
             ~label:(Printf.sprintf "minbft%d-batch" cfg.id)
@@ -955,8 +941,7 @@ let crash t =
   Timer.stop t.batch_timer;
   Timer.stop t.suspect_timer;
   Timer.stop t.recovery_timer;
-  t.pending <- [];
-  t.pending_count <- 0;
+  Batcher.clear t.pending;
   Hashtbl.reset t.awaiting;
   t.recovering <- false;
   Network.unregister t.net (Addr.replica t.cfg.id)
@@ -987,8 +972,7 @@ let restart t =
     (* A stale reply cache would make re-execution skip operations the
        snapshot does not cover, so the client table starts fresh too. *)
     t.clients <- Client_table.create ();
-    t.pending <- [];
-    t.pending_count <- 0;
+    Batcher.clear t.pending;
     Hashtbl.reset t.awaiting;
     Votes.reset t.viewchanges;
     Hashtbl.reset t.snapshots;

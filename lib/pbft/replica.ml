@@ -26,6 +26,7 @@ module Client_table = Splitbft_consensus.Client_table
 module Proofs = Splitbft_consensus.Proofs
 module Newview = Splitbft_consensus.Newview
 module Catchup = Splitbft_consensus.Catchup
+module Batcher = Splitbft_consensus.Batcher
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module Ledger_entry = Splitbft_storage.Entry
@@ -115,8 +116,7 @@ type t = {
   executed_digests : (Ids.seqno, string) Hashtbl.t;
   ckpt : Ckpt.t;
   mutable clients : Client_table.t;
-  mutable pending : Message.request list;  (* batch queue, newest first *)
-  mutable pending_count : int;
+  pending : Batcher.t;
   batch_timer : Timer.t;
   awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
   suspect_timer : Timer.t;
@@ -511,21 +511,10 @@ and check_checkpoint_stability t seq =
 (* ----- batching (primary) ----- *)
 
 and flush_batch_if_ready t =
-  if is_primary t && (not t.in_view_change) && t.pending_count > 0 then begin
+  if is_primary t && (not t.in_view_change) && Batcher.length t.pending > 0 then begin
     let seq = t.next_seq in
     if in_window t seq then begin
-      let take = min t.cfg.batch_size t.pending_count in
-      let all = List.rev t.pending in
-      let rec split i acc rest =
-        if i = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (i - 1) (x :: acc) tl
-      in
-      let batch, remaining = split take [] all in
-      t.pending <- List.rev remaining;
-      t.pending_count <- t.pending_count - take;
+      let batch = Batcher.take t.pending ~max:t.cfg.batch_size in
       t.next_seq <- seq + 1;
       let pp = make_preprepare t ~seq batch in
       let s = slot t seq in
@@ -560,11 +549,15 @@ and flush_batch_if_ready t =
         List.iter (send_targeted_votes t) [ pp; pp_b ]
       | Honest | Collude | Mute_commits | Corrupt_execution ->
         broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Preprepare pp));
-      if t.pending_count >= t.cfg.batch_size then flush_batch_if_ready t
-      else if t.pending_count > 0 then Timer.start t.batch_timer
-      else Timer.stop t.batch_timer
+      flush_or_arm t
     end
   end
+
+and flush_or_arm t =
+  match Batcher.next t.pending ~batch_size:t.cfg.batch_size with
+  | Batcher.Flush -> flush_batch_if_ready t
+  | Batcher.Arm -> Timer.start t.batch_timer
+  | Batcher.Idle -> Timer.stop t.batch_timer
 
 (* ----- prepare / commit progress ----- *)
 
@@ -632,10 +625,7 @@ let on_request t (r : Message.request) =
       (* Drop duplicates already queued or assigned a sequence number. *)
       if not (Client_table.already_assigned t.clients r.client r.timestamp) then begin
         Client_table.note_assigned t.clients r.client r.timestamp;
-        t.pending <- r :: t.pending;
-        t.pending_count <- t.pending_count + 1;
-        if t.pending_count >= t.cfg.batch_size then flush_batch_if_ready t
-        else Timer.start t.batch_timer
+        if Batcher.push t.pending r then flush_or_arm t
       end
     end
   end
@@ -738,9 +728,8 @@ let enter_view t ~view ~min_s ~max_s (pps : Message.preprepare_digest list) ~as_
      timestamp, so re-ordering cannot double-execute).  Requests still
      queued or re-issued by the NewView stay deduplicated. *)
   Client_table.reset_assignments t.clients;
-  List.iter
-    (fun (r : Message.request) -> Client_table.note_assigned t.clients r.client r.timestamp)
-    t.pending;
+  Batcher.iter t.pending (fun (r : Message.request) ->
+      Client_table.note_assigned t.clients r.client r.timestamp);
   List.iter
     (fun (pd : Message.preprepare_digest) ->
       let s = slot t pd.pd_seq in
@@ -1062,8 +1051,7 @@ let create engine net cfg ~app =
         executed_digests = Hashtbl.create 1024;
         ckpt = Ckpt.create ~quorum:(Ids.quorum ~n:cfg.n);
         clients = Client_table.create ();
-        pending = [];
-        pending_count = 0;
+        pending = Batcher.create ();
         batch_timer =
           Timer.create engine
             ~label:(Printf.sprintf "pbft%d-batch" cfg.id)
@@ -1159,8 +1147,7 @@ let crash t =
   Timer.stop t.suspect_timer;
   Timer.stop t.vc_timer;
   Timer.stop t.recovery_timer;
-  t.pending <- [];
-  t.pending_count <- 0;
+  Batcher.clear t.pending;
   Hashtbl.reset t.awaiting;
   t.recovering <- false;
   Network.unregister t.net (Addr.replica t.cfg.id)

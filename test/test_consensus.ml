@@ -17,6 +17,7 @@ module Execution = Splitbft_core.Execution
 module Client = Splitbft_client.Client
 module Kvs = Splitbft_app.Kvs
 module Catchup = Splitbft_consensus.Catchup
+module Batcher = Splitbft_consensus.Batcher
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -425,6 +426,116 @@ let test_catchup_vouch_needs_f1_matching () =
   Catchup.reset c;
   checkb "reset starts over" false (vouch 3 "a")
 
+(* ----- request batcher ----- *)
+
+let req client timestamp =
+  { Splitbft_types.Message.client; timestamp; payload = ""; auth = "" }
+
+(* (client, timestamp) of each request, in list order. *)
+let keys =
+  List.map (fun (r : Splitbft_types.Message.request) -> (r.client, r.timestamp))
+
+let key_list = Alcotest.(list (pair int int64))
+
+let test_batcher_fifo_interleaved () =
+  let b = Batcher.create () in
+  List.iter (fun ts -> checkb "fresh push" true (Batcher.push b (req 1 ts))) [ 1L; 2L; 3L ];
+  Alcotest.check key_list "oldest two first" [ (1, 1L); (1, 2L) ]
+    (keys (Batcher.take b ~max:2));
+  checkb "push after take" true (Batcher.push b (req 2 1L));
+  checkb "push after take" true (Batcher.push b (req 1 4L));
+  Alcotest.check key_list "leftover, then arrivals in order"
+    [ (1, 3L); (2, 1L) ]
+    (keys (Batcher.take b ~max:2));
+  checkb "push" true (Batcher.push b (req 3 1L));
+  let seen = ref [] in
+  Batcher.iter b (fun r -> seen := r :: !seen);
+  Alcotest.check key_list "iter walks oldest first" [ (1, 4L); (3, 1L) ]
+    (keys (List.rev !seen));
+  Alcotest.check key_list "drained in order" [ (1, 4L); (3, 1L) ]
+    (keys (Batcher.take b ~max:10))
+
+let test_batcher_dedup () =
+  let b = Batcher.create () in
+  checkb "first push" true (Batcher.push b (req 7 5L));
+  checkb "same client and timestamp rejected" false
+    (Batcher.push b { (req 7 5L) with payload = "other bytes" });
+  checkb "same timestamp, other client" true (Batcher.push b (req 8 5L));
+  checkb "same client, other timestamp" true (Batcher.push b (req 7 6L));
+  checki "rejected push left no copy" 3 (Batcher.length b);
+  Alcotest.check key_list "taken" [ (7, 5L) ] (keys (Batcher.take b ~max:1));
+  checkb "accepted again once taken" true (Batcher.push b (req 7 5L));
+  checkb "and rejected again while queued" false (Batcher.push b (req 7 5L));
+  Alcotest.check key_list "re-pushed request queues at the tail"
+    [ (8, 5L); (7, 6L); (7, 5L) ]
+    (keys (Batcher.take b ~max:3))
+
+let test_batcher_take_max () =
+  let filled () =
+    let b = Batcher.create () in
+    List.iter (fun ts -> ignore (Batcher.push b (req 0 ts))) [ 1L; 2L; 3L ];
+    b
+  in
+  let b = filled () in
+  Alcotest.check key_list "max below length" [ (0, 1L); (0, 2L) ]
+    (keys (Batcher.take b ~max:2));
+  checki "one left" 1 (Batcher.length b);
+  let b = filled () in
+  checki "max equal to length" 3 (List.length (Batcher.take b ~max:3));
+  checki "empty" 0 (Batcher.length b);
+  let b = filled () in
+  Alcotest.check key_list "max above length" [ (0, 1L); (0, 2L); (0, 3L) ]
+    (keys (Batcher.take b ~max:10));
+  checki "empty after" 0 (Batcher.length b);
+  Alcotest.check key_list "take from empty" [] (keys (Batcher.take b ~max:4));
+  let b = filled () in
+  Alcotest.check key_list "max zero" [] (keys (Batcher.take b ~max:0));
+  checki "untouched" 3 (Batcher.length b)
+
+let test_batcher_clear () =
+  let b = Batcher.create () in
+  List.iter (fun ts -> ignore (Batcher.push b (req 0 ts))) [ 1L; 2L ];
+  Batcher.clear b;
+  checki "empty" 0 (Batcher.length b);
+  Alcotest.check key_list "nothing to take" [] (keys (Batcher.take b ~max:5));
+  checkb "membership cleared too" true (Batcher.push b (req 0 1L))
+
+let test_batcher_next () =
+  let decision =
+    Alcotest.testable
+      (fun ppf d ->
+        Format.pp_print_string ppf
+          (match d with Batcher.Flush -> "Flush" | Batcher.Arm -> "Arm" | Batcher.Idle -> "Idle"))
+      ( = )
+  in
+  let with_len n =
+    let b = Batcher.create () in
+    for ts = 1 to n do
+      ignore (Batcher.push b (req 0 (Int64.of_int ts)))
+    done;
+    b
+  in
+  List.iter
+    (fun (len, batch_size, expected) ->
+      Alcotest.check decision
+        (Printf.sprintf "len %d, batch_size %d" len batch_size)
+        expected
+        (Batcher.next (with_len len) ~batch_size))
+    [ (0, 1, Batcher.Idle);
+      (0, 4, Batcher.Idle);
+      (1, 4, Batcher.Arm);
+      (3, 4, Batcher.Arm);
+      (4, 4, Batcher.Flush);
+      (9, 4, Batcher.Flush);
+      (1, 1, Batcher.Flush) ];
+  let b = with_len 5 in
+  ignore (Batcher.take b ~max:4);
+  Alcotest.check decision "after a flush leaves a partial batch" Batcher.Arm
+    (Batcher.next b ~batch_size:4);
+  ignore (Batcher.take b ~max:4);
+  Alcotest.check decision "after a flush drains the queue" Batcher.Idle
+    (Batcher.next b ~batch_size:4)
+
 let suites =
   [ ( "consensus-differential",
       [
@@ -447,4 +558,11 @@ let suites =
           test_catchup_inflated_claims;
         Alcotest.test_case "retry reply replaces" `Quick test_catchup_retry_replaces;
         Alcotest.test_case "vouch needs f+1 matching" `Quick test_catchup_vouch_needs_f1_matching
-      ] ) ]
+      ] );
+    ( "batcher",
+      [ Alcotest.test_case "fifo across interleaved push/take" `Quick
+          test_batcher_fifo_interleaved;
+        Alcotest.test_case "queued duplicate rejected" `Quick test_batcher_dedup;
+        Alcotest.test_case "take ~max below/at/above length" `Quick test_batcher_take_max;
+        Alcotest.test_case "clear" `Quick test_batcher_clear;
+        Alcotest.test_case "next: size-or-timeout rule" `Quick test_batcher_next ] ) ]

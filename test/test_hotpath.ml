@@ -178,8 +178,8 @@ let run_splitbft ~capacity ~seed ~crash_primary ~restart ~drop_prob =
     hits = Registry.sum obs ~prefix:"tee.verify_cache_hits";
     misses = Registry.sum obs ~prefix:"tee.verify_cache_misses" }
 
-(* Every sequence number executed in both runs must carry the same digest
-   (prefix agreement across the on/off pair, for every replica pair). *)
+(* Every sequence number executed by a replica of [a] and a replica of [b]
+   carries the same digest, for every such pair. *)
 let cross_agreement a b =
   List.for_all
     (fun ta ->
@@ -195,6 +195,10 @@ let cross_agreement a b =
             ta true)
         b.logs)
     a.logs
+
+(* Safety within one run: every pair of its replicas agrees on every seq
+   both executed. *)
+let agreement r = cross_agreement r r
 
 let test_metering_hits_and_disabled_counters () =
   (* A view change (primary crash) plus recovery re-verifies carried
@@ -218,13 +222,19 @@ let test_metering_hits_and_disabled_counters () =
   checkb "disabled cache never misses" true (off.misses = 0.0);
   checkb "same executions either way" true (cross_agreement on off)
 
-(* ----- differential property: cache on ≡ cache off -----
+(* ----- differential property: cache on and cache off are both safe -----
 
    For arbitrary seeds and fault schedules (fault-free, view change,
-   crash-recovery, lossy links), the hot-path layer must not change what
-   gets executed: zero wrong client results on both sides, and cross-run
-   prefix agreement between every replica of the cached run and every
-   replica of the uncached run. *)
+   crash-recovery, lossy links), a run with the verify cache and a run
+   without it each stay safe: zero wrong client results, and every pair of
+   replicas within the run agrees on every executed seq.  The disabled run
+   never touches the cache counters.
+
+   Cross-run agreement is deliberately not required here.  The cache
+   changes ecall costs, hence timing; once a view change races a lost
+   message, the two runs may legitimately fill a seq with a null batch in
+   one and a request in the other (seed 9272 below does).  The
+   deterministic seed-11 metering test above keeps the cross-run check. *)
 
 type diff_plan = {
   seed : int64;
@@ -262,7 +272,25 @@ let prop_cached_equals_uncached =
           ~restart:p.restart ~drop_prob:p.drop_prob
       in
       let on = run 1024 and off = run 0 in
-      on.wrong = 0 && off.wrong = 0 && off.hits = 0.0 && cross_agreement on off)
+      let safe r = r.wrong = 0 && agreement r in
+      safe on && safe off && off.hits = 0.0 && off.misses = 0.0)
+
+let test_cached_and_uncached_safe_seed_9272 () =
+  (* The plan on which cross-run agreement fails: crash + restart of the
+     primary over 2% loss.  Each run on its own must still be safe. *)
+  let run capacity =
+    run_splitbft ~capacity ~seed:9272L ~crash_primary:true ~restart:true ~drop_prob:0.020
+  in
+  let on = run 1024 and off = run 0 in
+  List.iter
+    (fun (name, r) ->
+      checki (name ^ ": no wrong results") 0 r.wrong;
+      checkb (name ^ ": made progress") true
+        (List.exists (fun t -> Hashtbl.length t > 0) r.logs);
+      checkb (name ^ ": replicas agree") true (agreement r))
+    [ ("cache on", on); ("cache off", off) ];
+  checkb "disabled cache never hits" true (off.hits = 0.0);
+  checkb "disabled cache never misses" true (off.misses = 0.0)
 
 let suites =
   [ ( "hotpath",
@@ -273,4 +301,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_lru_matches_model;
         Alcotest.test_case "cache metering on/off" `Quick
           test_metering_hits_and_disabled_counters;
-        QCheck_alcotest.to_alcotest ~long:true prop_cached_equals_uncached ] ) ]
+        QCheck_alcotest.to_alcotest ~long:true prop_cached_equals_uncached;
+        Alcotest.test_case "cache on/off both safe, seed 9272" `Quick
+          test_cached_and_uncached_safe_seed_9272 ] ) ]

@@ -73,21 +73,24 @@ type cluster = {
   replicas : Replica.t list;
 }
 
-let make ?(n = 3) () =
+let make ?(n = 3) ?(batch_size = 1) () =
   let engine = Engine.create ~seed:6L () in
   let net = Network.create engine Network.default_config in
   let replicas =
     List.init n (fun i ->
         Replica.create engine net
-          { (Replica.default_config ~n ~id:i) with Replica.suspect_timeout_us = 200_000.0 }
+          { (Replica.default_config ~n ~id:i) with
+            Replica.suspect_timeout_us = 200_000.0;
+            batch_size }
           ~app:(Kvs.create ()))
   in
   { engine; net; replicas }
 
-let drive ?(until = 5_000_000.0) c ~ops =
+let drive ?(window = 1) ?(until = 5_000_000.0) c ~ops =
   let cl =
     Client.create c.engine c.net
-      (Client.default_config Client.Minbft ~n:(List.length c.replicas) ~id:0)
+      { (Client.default_config Client.Minbft ~n:(List.length c.replicas) ~id:0) with
+        Client.window }
   in
   let completed = ref 0 and wrong = ref 0 in
   Client.start cl ~on_ready:(fun () ->
@@ -125,6 +128,69 @@ let test_normal_operation () =
   checkb "agreement" true (agreement c.replicas);
   List.iter (fun r -> checki "executed everywhere" 30 (Replica.executed_count r)) c.replicas
 
+let test_batching () =
+  (* 30 requests in flight at once against batches of 10: a handful of
+     Prepares orders them all, each request exactly once. *)
+  let c = make ~batch_size:10 () in
+  let completed, wrong = drive ~window:30 c ~ops:30 in
+  checki "all complete" 30 completed;
+  checki "no wrong" 0 wrong;
+  checkb "agreement" true (agreement c.replicas);
+  List.iter
+    (fun r ->
+      checki "each request executed once" 30 (Replica.executed_count r);
+      checkb "few batches ordered" true (List.length (Replica.executed_log r) <= 6))
+    c.replicas
+
+let test_queued_retransmit_proposed_once () =
+  (* The client retransmits while its request still waits in the primary's
+     batch queue (batch 10, one request, so only the batch timer can flush
+     it): the request is proposed in one Prepare and executed once at
+     every replica. *)
+  let module M = Splitbft_types.Message in
+  let module Addr = Splitbft_types.Addr in
+  let c = make ~batch_size:10 () in
+  let n = List.length c.replicas in
+  let r =
+    let r =
+      { M.client = 0; timestamp = 1L; payload = Kvs.encode_op (Kvs.Put ("k1", "v")); auth = "" }
+    in
+    { r with
+      M.auth =
+        Splitbft_types.Keys.make_authenticator ~protocol:"minbft" ~client:0 ~n
+          (M.request_auth_bytes r) }
+  in
+  let proposed = ref 0 and replies = ref 0 in
+  Network.add_tap c.net (fun ~src ~dst payload ->
+      if src = Addr.replica 0 && dst = Addr.replica 1 && Mmsg.is_minbft_payload payload then
+        match Mmsg.decode payload with
+        | Ok (Mmsg.Prepare p) ->
+          proposed :=
+            !proposed
+            + List.length
+                (List.filter (fun (q : M.request) -> q.timestamp = 1L) p.Mmsg.p_batch)
+        | _ -> ());
+  Network.register c.net (Addr.client 0) (fun ~src:_ payload ->
+      match M.decode payload with
+      | Ok (M.Reply rp) when Int64.equal rp.M.timestamp 1L -> incr replies
+      | _ -> ());
+  for k = 0 to 2 do
+    ignore
+      (Engine.schedule c.engine
+         ~delay:(float_of_int k *. 1_000.0)
+         ~label:"retransmit"
+         (fun () ->
+           for j = 0 to n - 1 do
+             Network.send c.net ~src:(Addr.client 0) ~dst:(Addr.replica j)
+               (M.encode (M.Request r))
+           done))
+  done;
+  Engine.run ~until:1_000_000.0 c.engine;
+  checki "proposed once" 1 !proposed;
+  List.iter (fun rep -> checki "executed once" 1 (Replica.executed_count rep)) c.replicas;
+  checkb "answered" true (!replies >= 2);
+  checkb "agreement" true (agreement c.replicas)
+
 let test_backup_crash () =
   let c = make () in
   ignore
@@ -156,6 +222,9 @@ let suites =
         Alcotest.test_case "usig codec" `Quick test_usig_codec;
         Alcotest.test_case "mmsg codec" `Quick test_mmsg_codec;
         Alcotest.test_case "normal operation" `Quick test_normal_operation;
+        Alcotest.test_case "batching" `Quick test_batching;
+        Alcotest.test_case "queued retransmit proposed once" `Quick
+          test_queued_retransmit_proposed_once;
         Alcotest.test_case "backup crash" `Quick test_backup_crash;
         Alcotest.test_case "byz execution masked" `Quick test_byz_execution_masked;
         Alcotest.test_case "faulty TEE breaks safety" `Quick test_faulty_tee_breaks_safety ] ) ]

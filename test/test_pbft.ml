@@ -194,6 +194,53 @@ let test_duplicate_requests_execute_once () =
   checkb "cached replies resent" true (!replies >= 2);
   checki "nothing re-executed" before (Replica.executed_count (List.hd c.replicas))
 
+let test_queued_retransmit_proposed_once () =
+  (* The client retransmits while its request still waits in the primary's
+     batch queue (batch 10, one request, so only the batch timer can flush
+     it): the request is proposed in one PrePrepare slot and executed once
+     at every replica. *)
+  let module M = Splitbft_types.Message in
+  let module Addr = Splitbft_types.Addr in
+  let c = make ~batch_size:10 () in
+  let r =
+    let r =
+      { M.client = 0; timestamp = 1L; payload = Kvs.encode_op (Kvs.Put ("k1", "v")); auth = "" }
+    in
+    { r with
+      M.auth =
+        Splitbft_types.Keys.make_authenticator ~protocol:"pbft" ~client:0 ~n:4
+          (M.request_auth_bytes r) }
+  in
+  let proposed = ref 0 and replies = ref 0 in
+  Network.add_tap c.net (fun ~src ~dst payload ->
+      if src = Addr.replica 0 && dst = Addr.replica 1 then
+        match M.decode payload with
+        | Ok (M.Preprepare pp) ->
+          proposed :=
+            !proposed
+            + List.length (List.filter (fun (q : M.request) -> q.timestamp = 1L) pp.batch)
+        | _ -> ());
+  Network.register c.net (Addr.client 0) (fun ~src:_ payload ->
+      match M.decode payload with
+      | Ok (M.Reply rp) when Int64.equal rp.M.timestamp 1L -> incr replies
+      | _ -> ());
+  for k = 0 to 2 do
+    ignore
+      (Engine.schedule c.engine
+         ~delay:(float_of_int k *. 1_000.0)
+         ~label:"retransmit"
+         (fun () ->
+           for j = 0 to 3 do
+             Network.send c.net ~src:(Addr.client 0) ~dst:(Addr.replica j)
+               (M.encode (M.Request r))
+           done))
+  done;
+  Engine.run ~until:1_000_000.0 c.engine;
+  checki "proposed once" 1 !proposed;
+  List.iter (fun rep -> checki "executed once" 1 (Replica.executed_count rep)) c.replicas;
+  checkb "answered" true (!replies >= 2);
+  checkb "agreement" true (agreement c.replicas)
+
 let test_pipelined_client_windows () =
   let c = make ~batch_size:20 () in
   let completed, wrong = drive ~window:25 c ~ops:100 in
@@ -213,4 +260,6 @@ let suites =
         Alcotest.test_case "f+1 equivocation diverges" `Quick test_equivocation_beyond_f_diverges;
         Alcotest.test_case "lossy network" `Slow test_lossy_network_retransmission;
         Alcotest.test_case "duplicates execute once" `Quick test_duplicate_requests_execute_once;
+        Alcotest.test_case "queued retransmit proposed once" `Quick
+          test_queued_retransmit_proposed_once;
         Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows ] ) ]
